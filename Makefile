@@ -51,7 +51,7 @@ bench-engine:
 		-o BENCH_engine.json
 
 # Sharded-dispatcher bench: one verified 4-shard 50k-host cell
-# (serial pruned vs pooled vs inline; records the measured pool wall
+# (serial incremental vs pooled vs inline; records the measured pool wall
 # ratio and the critical-path speedup).  Not written to the committed
 # baseline — use bench-engine with --shard-hosts for that.
 bench-shard:

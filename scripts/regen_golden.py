@@ -17,8 +17,7 @@ Freezes, under ``tests/fixtures/golden/``:
   generation parameters, for provenance.
 
 ``tests/simulator/test_golden_trace.py`` replays the frozen trace
-through the incremental and pruned kernels (byte-identical stream
-required), the naive kernel (ditto) and the object engine
+through the incremental kernel (byte-identical stream required), the naive kernel (ditto) and the object engine
 (field-level diff via :func:`repro.obs.audit.diff_decision_streams`).
 
 Additionally freezes the **scale tier** under
@@ -27,7 +26,7 @@ Additionally freezes the **scale tier** under
 result_stream`), recorded with the naive kernel through the
 uninstrumented run loop.  Decision recording disables the engine's
 fast path, so only these result-stream fixtures pin the shape-cache
-and pruned-kernel selection code that production runs execute;
+selection code and batched event drain that production runs execute;
 ``tests/simulator/test_scale_golden.py`` replays them for every
 kernel, byte-for-byte.
 
@@ -65,8 +64,8 @@ NUM_HOSTS = 5
 HOST_CPUS = 16
 HOST_MEM_GB = 64.0
 
-#: Scale tier: enough hosts that the pruned kernel's partition
-#: structures span many blocks (5000 hosts = 20 blocks of 256), with a
+#: Scale tier: enough hosts that the first-fit chunked scan skips many
+#: blocks and the shape cache replays long mutation logs, with a
 #: workload small enough that the naive oracle regenerates in seconds.
 SCALE_SEED = 2031
 SCALE_TARGET_POPULATION = 1200

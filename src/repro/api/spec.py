@@ -17,6 +17,7 @@ canonical form, the same discipline as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from hashlib import sha256
 from json import dumps
@@ -25,7 +26,7 @@ from typing import Optional, Union
 from repro.core.errors import ConfigError
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
-from repro.simulator.vectorpool import KERNELS, POLICIES
+from repro.simulator.vectorpool import POLICIES, resolve_kernel
 from repro.workload.catalog import PROVIDERS
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
 
@@ -104,16 +105,15 @@ class RunSpec:
             raise ConfigError("target_population must be positive")
         if self.num_hosts < 0:
             raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
-        if self.host_cpus <= 0 or self.host_mem_gb <= 0:
-            raise ConfigError("host_cpus and host_mem_gb must be positive")
+        # Chained comparisons, so NaN (every comparison False) and inf
+        # fail here instead of deep inside the engine.
+        if not (0 < self.host_cpus < math.inf and 0 < self.host_mem_gb < math.inf):
+            raise ConfigError("host_cpus and host_mem_gb must be positive and finite")
         if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"
             )
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
+        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
@@ -123,8 +123,8 @@ class RunSpec:
                 f"unknown oversub strategy {self.oversub!r}; "
                 f"expected one of {sorted(STRATEGIES)}"
             )
-        if self.oversub_update_every <= 0:
-            raise ConfigError("oversub_update_every must be positive")
+        if not 0 < self.oversub_update_every < math.inf:
+            raise ConfigError("oversub_update_every must be positive and finite")
         if self.shards < 1:
             raise ConfigError(f"need at least one shard, got {self.shards}")
         if self.router not in ROUTERS:

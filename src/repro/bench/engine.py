@@ -7,15 +7,12 @@ workloads:
 * ``incremental`` — the allocation-free kernel in
   :mod:`repro.simulator.vectorpool` (dirty-host bookkeeping, candidate
   masks, shape-keyed masked-score cache);
-* ``pruned`` — the hierarchical candidate-pruning kernel in
-  :mod:`repro.simulator.prunekernel` (partition maxima and candidate
-  counters on top of the incremental caches, sublinear ``select()``);
 * ``naive`` — the retained pre-change reference in
   :mod:`repro.simulator.refkernel`, run end to end through the
   pre-change flow (heap drain, allocating selection), so speedups are
   measured against the engine as it existed before the rewrite.
 
-Every cell verifies that all kernels produce identical placements,
+Every cell verifies that both kernels produce identical placements,
 rejections, pooling counts and timelines before its timing is trusted
 — a benchmark of a wrong kernel is worthless.  Per-op timers go
 through :class:`repro.obs.metrics.MetricsRegistry` (the ``select_s``
@@ -27,7 +24,7 @@ typically 50k and 100k) run a policy subset at a reduced load factor so
 the naive baseline arm — milliseconds per event at 100k hosts — stays
 affordable, and report a peak-RSS memory column next to throughput;
 **shard** cells (``shard_hosts``) time the :mod:`repro.sharding`
-dispatcher against the single-process ``pruned`` kernel, one cell per
+dispatcher against the single-process ``incremental`` kernel, one cell per
 shard count.  Every cell is constructed through
 :class:`repro.api.RunSpec` — the bench times exactly what
 ``repro.api.run`` executes.
@@ -80,8 +77,11 @@ __all__ = [
 #: cells (``tier`` field, ``scale_*`` grid keys), third kernel.
 #: 3: ``shards`` column on every cell, shard-tier cells (``shard_*``
 #: grid keys) timing the :mod:`repro.sharding` dispatcher against the
-#: single-process ``pruned`` kernel; cells construct through
-#: :class:`repro.api.RunSpec`.
+#: single-process serial kernel; cells construct through
+#: :class:`repro.api.RunSpec`.  Readers take ratios from ``speedups``
+#: only: the schema-1 ``speedup`` column is no longer written, and
+#: older files may carry a ``pruned`` kernel entry (a retired alias
+#: of ``incremental``) that fresh runs do not report.
 SCHEMA = 3
 
 #: The bench's fixed workload mix (1:1 / 2:1 / 3:1 percentages).
@@ -107,8 +107,8 @@ class EngineBenchSpec:
 
     ``shard_hosts`` adds the shard tier: each cell times the
     :class:`repro.sharding.ShardedSimulation` dispatcher (hash router,
-    one worker process per shard) against the single-process ``pruned``
-    kernel on the same workload — the speedup the two-level
+    one worker process per shard) against the single-process
+    ``incremental`` kernel on the same workload — the speedup the two-level
     architecture buys over the fastest serial kernel.  The serial arm
     gets the warmup slice; the sharded arm deliberately does not (its
     workers are fresh processes either way, and its timing *includes*
@@ -225,7 +225,7 @@ def _run_tier(
     cells = []
     for num_hosts in hosts:
         trace_spec = _cell_run_spec(
-            spec, num_hosts, policies[0], "pruned", vms_per_host
+            spec, num_hosts, policies[0], "incremental", vms_per_host
         )
         workload = build_workload(trace_spec)
         machines = build_machines(trace_spec)
@@ -289,15 +289,10 @@ def _run_tier(
                     "verified": spec.verify,
                     "kernels": {k: a["payload"] for k, a in arms.items()},
                     "speedups": speedups,
-                    # Legacy column (schema 1 compatibility for readers):
-                    # the incremental-vs-naive ratio.
-                    "speedup": speedups["incremental"],
                 }
             )
             say(
                 f"hosts={num_hosts:6d} {policy:20s} "
-                f"pruned {arms['pruned']['payload']['events_per_s']:9.0f} ev/s "
-                f"({speedups['pruned']:.2f}x)  "
                 f"incremental {arms['incremental']['payload']['events_per_s']:9.0f} ev/s "
                 f"({speedups['incremental']:.2f}x)  "
                 f"naive {arms['naive']['payload']['events_per_s']:9.0f} ev/s  "
@@ -309,9 +304,9 @@ def _run_tier(
 def _run_shard_tier(
     spec: EngineBenchSpec, say: Callable[[str], None]
 ) -> list[dict]:
-    """Shard-tier cells: dispatcher-vs-serial on the ``pruned`` kernel.
+    """Shard-tier cells: dispatcher-vs-serial on the ``incremental`` kernel.
 
-    The serial arm is the single-process ``pruned`` kernel (the fastest
+    The serial arm is the single-process ``incremental`` kernel (the fastest
     serial configuration — the honest baseline); each shard count then
     runs the same workload through the dispatcher with one worker
     process per shard.  ``spec.verify`` replays the sharded run inline
@@ -332,7 +327,7 @@ def _run_shard_tier(
     cells = []
     for num_hosts in spec.shard_hosts:
         serial_spec = _cell_run_spec(
-            spec, num_hosts, spec.shard_policies[0], "pruned",
+            spec, num_hosts, spec.shard_policies[0], "incremental",
             spec.shard_vms_per_host,
         )
         workload = build_workload(serial_spec)
@@ -343,7 +338,7 @@ def _run_shard_tier(
         warmup = workload[: spec.shard_warmup_vms]
         for policy in spec.shard_policies:
             serial_spec = _cell_run_spec(
-                spec, num_hosts, policy, "pruned", spec.shard_vms_per_host
+                spec, num_hosts, policy, "incremental", spec.shard_vms_per_host
             )
             serial_sim = build_simulation(serial_spec, machines)
             serial_sim.run(warmup)
@@ -403,7 +398,6 @@ def _run_shard_tier(
                         "verified": spec.verify,
                         "kernels": kernels,
                         "speedups": speedups,
-                        "speedup": speedups["sharded"],
                     }
                 )
                 critical = (
@@ -415,7 +409,7 @@ def _run_shard_tier(
                     f"hosts={num_hosts:6d} {policy:20s} "
                     f"{shards} shards {num_events / wall_s:9.0f} ev/s "
                     f"({speedups['sharded']:.2f}x)  {critical}"
-                    f"serial pruned {serial_payload['events_per_s']:9.0f} ev/s  "
+                    f"serial incremental {serial_payload['events_per_s']:9.0f} ev/s  "
                     f"placed {len(result.placements)} "
                     f"(serial {len(serial_result.placements)})"
                 )
@@ -452,7 +446,7 @@ def run_engine_bench(
         key=lambda c: (
             c["num_hosts"],
             c["policy"] == "progress",
-            c["speedups"]["pruned"],
+            c["speedups"]["incremental"],
         ),
     )
     payload = {
@@ -485,9 +479,8 @@ def run_engine_bench(
         "headline": {
             "num_hosts": headline["num_hosts"],
             "policy": headline["policy"],
-            "speedup": headline["speedup"],
             "speedups": headline["speedups"],
-            "events_per_s": headline["kernels"]["pruned"]["events_per_s"],
+            "events_per_s": headline["kernels"]["incremental"]["events_per_s"],
         },
         "cells": cells,
     }
@@ -497,19 +490,10 @@ def run_engine_bench(
             "num_hosts": best["num_hosts"],
             "policy": best["policy"],
             "shards": best["shards"],
-            "speedup": best["speedup"],
             "speedups": dict(best["speedups"]),
             "events_per_s": best["kernels"]["sharded"]["events_per_s"],
         }
     return payload
-
-
-def _cell_speedups(cell: dict) -> dict:
-    """Per-kernel ratio dict of a cell, tolerating schema-1 shapes."""
-    speedups = cell.get("speedups")
-    if speedups is None:
-        speedups = {"incremental": cell["speedup"]}
-    return speedups
 
 
 def crossover_report(payload: dict) -> list[str]:
@@ -523,8 +507,8 @@ def crossover_report(payload: dict) -> list[str]:
     """
     lines = []
     for cell in payload.get("cells", ()):
-        base = "serial pruned" if cell.get("tier") == "shard" else "naive"
-        for kernel, ratio in sorted(_cell_speedups(cell).items()):
+        base = "serial" if cell.get("tier") == "shard" else "naive"
+        for kernel, ratio in sorted(cell["speedups"].items()):
             if ratio < 1.0:
                 lines.append(
                     f"hosts={cell['num_hosts']} policy={cell['policy']}: "
@@ -569,8 +553,8 @@ def compare_engine_bench(
         if ref is None:
             continue
         matched += 1
-        ratios = _cell_speedups(cell)
-        for kernel, ref_ratio in sorted(_cell_speedups(ref).items()):
+        ratios = cell["speedups"]
+        for kernel, ref_ratio in sorted(ref["speedups"].items()):
             ratio = ratios.get(kernel)
             if ratio is None:
                 continue

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "first_fit, best_fit, worst_fit)")
     ev.add_argument("--kernel", default="incremental",
                     help="placement kernel for the shared cluster "
-                         "(incremental, naive, pruned)")
+                         "(incremental, naive)")
     ev.add_argument("--shards", type=int, default=1,
                     help="fan the shared cluster out over N dispatcher "
                          "shards (default 1: unsharded)")
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(failed cells are retried)")
     sweep.add_argument("--kernel", default="incremental",
                        help="placement kernel for every cell "
-                            "(incremental, naive, pruned)")
+                            "(incremental, naive)")
     sweep.add_argument("--shards", type=int, default=1,
                        help="dispatcher shards per cell (run inline inside "
                             "each cell worker; default 1)")
@@ -201,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     sh.add_argument("--machine", type=_machine, default=SIM_WORKER,
                     help="host spec as CPUS:MEM_GB (default 32:128)")
     sh.add_argument("--policy", choices=POLICIES, default="progress")
-    sh.add_argument("--kernel", default="pruned",
-                    help="placement kernel per shard (default pruned)")
+    sh.add_argument("--kernel", default="incremental",
+                    help="placement kernel per shard (incremental, naive; "
+                         "default incremental)")
     sh.add_argument("--shards", type=int, default=4,
                     help="shard count (default 4)")
     sh.add_argument("--router", default="hash",
@@ -298,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-benchmark the engines (currently: the placement kernel)",
     )
     be.add_argument("target", choices=("engine",),
-                    help="what to benchmark (engine: pruned/incremental vs "
-                         "naive placement kernels)")
+                    help="what to benchmark (engine: incremental vs "
+                         "naive placement kernel)")
     be.add_argument("--hosts", default="500,2000,5000",
                     help="comma-separated cluster sizes (default 500,2000,5000)")
     be.add_argument("--policies", default="all",
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="warmup slice for scale cells (default 200)")
     be.add_argument("--shard-hosts", default="",
                     help="comma-separated cluster sizes for the shard tier "
-                         "(sharded dispatcher vs serial pruned kernel; "
+                         "(sharded dispatcher vs serial incremental kernel; "
                          "default: none)")
     be.add_argument("--shard-counts", default="4",
                     help="comma-separated shard counts for shard-tier cells "
@@ -723,10 +724,9 @@ def _cmd_bench(args) -> int:
     )
     payload = run_engine_bench(spec, progress=print)
     head = payload["headline"]
-    pruned_x = head["speedups"].get("pruned", head["speedup"])
     print(f"headline: hosts={head['num_hosts']} policy={head['policy']} "
-          f"{head['events_per_s']:.0f} ev/s, pruned {pruned_x:.2f}x / "
-          f"incremental {head['speedup']:.2f}x over naive")
+          f"{head['events_per_s']:.0f} ev/s, incremental "
+          f"{head['speedups']['incremental']:.2f}x over naive")
     shard_head = payload.get("shard_headline")
     if shard_head:
         critical = shard_head["speedups"].get("critical_path")
@@ -736,7 +736,8 @@ def _cmd_bench(args) -> int:
         print(f"shard headline: hosts={shard_head['num_hosts']} "
               f"policy={shard_head['policy']} shards={shard_head['shards']} "
               f"{shard_head['events_per_s']:.0f} ev/s, "
-              f"{shard_head['speedup']:.2f}x over serial pruned{suffix}")
+              f"{shard_head['speedups']['sharded']:.2f}x over serial "
+              f"incremental{suffix}")
     for line in crossover_report(payload):
         print(f"CROSSOVER: {line}")
     if args.out:

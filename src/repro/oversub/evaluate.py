@@ -32,7 +32,7 @@ from repro.oversub.estimators import STRATEGIES, make_estimator
 from repro.runner.spec import resolve_mix_entry
 from repro.simulator.engine import SimulationResult
 from repro.simulator.sizing import demand_lower_bound
-from repro.simulator.vectorpool import KERNELS, POLICIES, VectorSimulation
+from repro.simulator.vectorpool import POLICIES, VectorSimulation, resolve_kernel
 from repro.workload.catalog import PROVIDERS
 from repro.workload.distributions import LevelMix
 from repro.workload.generator import WorkloadParams, generate_workload
@@ -90,10 +90,7 @@ class OversubSweepSpec:
             raise ConfigError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"
             )
-        if self.kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {self.kernel!r}; expected one of {KERNELS}"
-            )
+        object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
         if self.target_population <= 0:
             raise ConfigError("target_population must be positive")
 

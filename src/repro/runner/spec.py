@@ -26,8 +26,9 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.errors import RunnerError
+from repro.core.errors import ConfigError, RunnerError
 from repro.hardware.machine import SIM_WORKER
+from repro.simulator.vectorpool import resolve_kernel
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
 
 __all__ = ["SweepCell", "SweepSpec", "derive_seeds", "resolve_mix_entry"]
@@ -150,6 +151,10 @@ class SweepSpec:
             raise RunnerError("machine_cpus and machine_mem_gb must be positive")
         if self.shards < 1:
             raise RunnerError(f"shards must be >= 1, got {self.shards}")
+        try:
+            object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
+        except ConfigError as exc:
+            raise RunnerError(str(exc)) from None
         resolved = tuple(resolve_mix_entry(m) for m in self.mixes)
         labels = [label for label, _ in resolved]
         if len(set(labels)) != len(labels):

@@ -47,7 +47,7 @@ from repro.sharding.merge import merge_shard_results
 from repro.sharding.router import ROUTERS, make_router
 from repro.simulator.engine import SimulationResult
 from repro.simulator.events import EventKind, workload_event_list
-from repro.simulator.vectorpool import KERNELS, POLICIES, VectorSimulation
+from repro.simulator.vectorpool import POLICIES, VectorSimulation, resolve_kernel
 from repro.workload.traces import vm_from_dict, vm_to_dict
 
 __all__ = ["ShardPlan", "ShardedSimulation", "workload_digest"]
@@ -95,7 +95,7 @@ class ShardPlan:
         router: str = "hash",
         seed: int = 0,
         policy: str = "progress",
-        kernel: str = "pruned",
+        kernel: str = "incremental",
     ) -> "ShardPlan":
         if shards < 1:
             raise ConfigError(f"need at least one shard, got {shards}")
@@ -111,10 +111,7 @@ class ShardPlan:
             raise ConfigError(
                 f"unknown policy {policy!r}; expected one of {POLICIES}"
             )
-        if kernel not in KERNELS:
-            raise ConfigError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
+        kernel = resolve_kernel(kernel)
         base, extra = divmod(num_hosts, shards)
         sizes = tuple(base + (1 if s < extra else 0) for s in range(shards))
         offsets = []
@@ -268,7 +265,7 @@ class ShardedSimulation:
         machines: Sequence[MachineSpec],
         config: Optional[SlackVMConfig] = None,
         policy: str = "progress",
-        kernel: str = "pruned",
+        kernel: str = "incremental",
         shards: int = 1,
         router: str = "hash",
         workers: int = 0,
@@ -299,7 +296,7 @@ class ShardedSimulation:
         self.machines = list(machines)
         self.config = config or SlackVMConfig()
         self.policy = policy
-        self.kernel = kernel
+        self.kernel = resolve_kernel(kernel)
         self.shards = shards
         self.router = router
         self.workers = workers

@@ -3,7 +3,7 @@
 The golden decision-record corpus (``tests/fixtures/golden/*.jsonl``)
 locks the *instrumented* path byte-for-byte — but recording disables
 the engine's uninstrumented fast loop, so those fixtures never execute
-the shape-cache or pruned-kernel selection code at all.  The
+the shape-cache selection code or the batched event drain at all.  The
 scale-tier fixtures (``tests/fixtures/golden/scale/``) close that gap:
 they freeze the **result stream** of an uninstrumented run — every
 placement decision in arrival order, the rejection list, and a digest

@@ -23,21 +23,15 @@ Since the incremental-kernel rewrite, the hot path is also
   feasibility block by block and stops at the first feasible host
   instead of touching the full array.
 
-``kernel="pruned"`` (:mod:`repro.simulator.prunekernel`) layers
-hierarchical candidate pruning on top: per-partition score maxima and
-candidate counters make ``select()`` *sublinear* in hosts, invalidated
-lazily through the same mutation log and falling back to the full
-vectorized scan whenever the summaries cannot be patched.  The
-uninstrumented run loop additionally drains events in same-timestamp
-batches (:func:`repro.simulator.events.iter_event_batches`) so a
-tick's departures all land before its first selection.
+The uninstrumented run loop additionally drains events in
+same-timestamp batches (:func:`repro.simulator.events.iter_event_batches`)
+so a tick's departures all land before its first selection.
 
 Every cached quantity is refreshed with the *same elementwise IEEE
 operations* the naive kernel applies cluster-wide, so the incremental
-and pruned kernels are bit-identical to the retained reference
-implementation in :mod:`repro.simulator.refkernel` (``kernel="naive"``
-switches back to it).  Four independent oracles enforce the
-equivalence:
+kernel is bit-identical to the retained reference implementation in
+:mod:`repro.simulator.refkernel` (``kernel="naive"`` switches back to
+it).  Four independent oracles enforce the equivalence:
 
 * the golden-trace conformance suite
   (``tests/simulator/test_golden_trace.py``) replays frozen JSONL
@@ -45,12 +39,10 @@ equivalence:
 * the scale-tier conformance suite
   (``tests/simulator/test_scale_golden.py``) replays frozen 5000-host
   result streams byte-for-byte through the *uninstrumented* loop —
-  the path the shape cache and the pruning structures actually run on;
+  the path the shape cache and the candidate masks actually run on;
 * the kernel-equivalence property suite
-  (``tests/simulator/test_kernel_equivalence.py``) compares all
-  kernels element-wise on random cluster states, with
-  ``tests/simulator/test_prune_invariants.py`` pinning the partition
-  summaries against the arrays they summarise;
+  (``tests/simulator/test_kernel_equivalence.py``) compares both
+  kernels element-wise on random cluster states;
 * the engine-equivalence suite (``tests/simulator/test_equivalence.py``)
   checks placements against the object path.
 
@@ -102,7 +94,6 @@ from repro.scheduling.constants import (
 # Submodule imports, not `from repro.simulator import ...`: importing
 # through the package __init__ (which imports this module transitively)
 # would create a module-level cycle (R009).
-import repro.simulator.prunekernel as prunekernel
 import repro.simulator.refkernel as refkernel
 from repro.simulator.engine import PlacementRecord, SimulationResult, Timeline
 from repro.simulator.events import (
@@ -115,7 +106,13 @@ from repro.simulator.events import (
 if TYPE_CHECKING:  # annotation-only: keeps simulator below oversub (R009)
     from repro.oversub.controller import OversubController, OversubParams
 
-__all__ = ["VectorCluster", "VectorSimulation", "POLICIES", "KERNELS"]
+__all__ = [
+    "VectorCluster",
+    "VectorSimulation",
+    "POLICIES",
+    "KERNELS",
+    "resolve_kernel",
+]
 
 #: Scheduling policies understood by the vector engine; mirrors
 #: :mod:`repro.scheduling.baselines`.
@@ -130,11 +127,26 @@ POLICIES = (
 
 #: Placement-kernel implementations: ``incremental`` is the
 #: allocation-free default; ``naive`` is the retained pre-change
-#: reference (:mod:`repro.simulator.refkernel`); ``pruned`` adds
-#: hierarchical candidate pruning on top of the incremental caches so
-#: ``select()`` is sublinear in hosts
-#: (:mod:`repro.simulator.prunekernel`).
-KERNELS = ("incremental", "naive", "pruned")
+#: reference (:mod:`repro.simulator.refkernel`).
+KERNELS = ("incremental", "naive")
+
+#: Retired kernel names still accepted on input, each mapped to the
+#: kernel that reproduces its results byte for byte.
+_KERNEL_ALIASES = {"pruned": "incremental"}
+
+
+def resolve_kernel(kernel: str) -> str:
+    """The :data:`KERNELS` entry ``kernel`` names (resolving aliases).
+
+    The one place a kernel name is validated: every spec and engine
+    constructor routes through it, so a retired name such as
+    ``"pruned"`` keeps working everywhere and fingerprints as the
+    kernel it now runs.
+    """
+    name = _KERNEL_ALIASES.get(kernel, kernel)
+    if name not in KERNELS:
+        raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
+    return name
 
 # Shared with the object-path schedulers via repro.scheduling.constants,
 # so the two engines cannot drift apart silently.
@@ -203,10 +215,6 @@ class VectorCluster:
     for the invariants).
     """
 
-    #: Shape-cache capacity, exposed for the pruned kernel's identical
-    #: eviction policy (see :data:`_SHAPE_CACHE_CAP`).
-    _shape_cache_cap = _SHAPE_CACHE_CAP
-
     def __init__(
         self,
         machines: Sequence[MachineSpec],
@@ -224,12 +232,10 @@ class VectorCluster:
         selects the placement kernel (see :data:`KERNELS`)."""
         if not machines:
             raise ConfigError("a cluster needs at least one machine")
-        if kernel not in KERNELS:
-            raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.config = config
         self.machines = list(machines)
         self.recorder = recorder
-        self.kernel = kernel
+        self.kernel = resolve_kernel(kernel)
         n = len(machines)
         self.ratios = np.array([lv.ratio for lv in config.levels], dtype=float)
         self.mem_ratios = np.array([lv.mem_ratio for lv in config.levels], dtype=float)
@@ -387,12 +393,6 @@ class VectorCluster:
         self._sc_f3 = np.empty(n, dtype=float)
         self._sc_b1 = np.empty(n, dtype=bool)
         self._sel_not = np.empty(n, dtype=bool)
-        # Hierarchical-pruning bookkeeping (partition geometry and
-        # per-level candidate counters); None for the other kernels,
-        # which never pay for its upkeep.
-        self._prune: Optional[prunekernel.PruneState] = (
-            prunekernel.PruneState(n, L) if self.kernel == "pruned" else None
-        )
 
     def _touch(self, host: int) -> None:
         """Mark one host's derived caches stale (cheap, O(1))."""
@@ -608,15 +608,12 @@ class VectorCluster:
                     & (self._pool_max_slack[li] >= 1.0)
                 )
             self._cand[li] = own
-        if self._prune is not None:
-            self._prune.rebuild_cand_counts(self._cand)
 
     def _refresh_cand_host(self, j: int) -> None:
         """Scalar candidate-mask refresh of one dirty host."""
         fc = float(self._free_cpu[j])
         mem_possible = self._free_mem_tol[j] > 0.0
         pooling = self.config.pooling
-        prune = self._prune
         for li in range(len(self.ratios)):
             r = float(self.ratios[li])
             mg = (
@@ -633,8 +630,6 @@ class VectorCluster:
                 and self._pool_max_slack[li, j] >= 1.0
             ):
                 cand = True
-            if prune is not None:
-                prune.adjust_cand_bit(li, j, bool(self._cand[li, j]), cand)
             self._cand[li, j] = cand
 
     @property
@@ -767,8 +762,6 @@ class VectorCluster:
         if self.kernel == "naive":
             feasible, _g, _o = refkernel.naive_feasibility(self, vm)
             return int(np.argmax(feasible)) if feasible.any() else None
-        if self.kernel == "pruned":
-            return prunekernel.pruned_first_feasible(self, vm)
         self._sync_cand()
         cand = self._cand[li]
         n = self.num_hosts
@@ -813,8 +806,6 @@ class VectorCluster:
         every host (capacities are positive), so the argmax landing on
         -inf is exactly the "no feasible host" case.
         """
-        if self.kernel == "pruned":
-            return prunekernel.pruned_select(self, vm, policy)
         if policy == "first_fit":
             return self.first_feasible(vm)
         if self.kernel == "naive" or not self._uniform_mem:
@@ -1247,8 +1238,6 @@ class VectorSimulation:
     ):
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-        if kernel not in KERNELS:
-            raise ConfigError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
         self.machines = list(machines)
         self.config = config or SlackVMConfig()
         self.policy = policy
@@ -1256,7 +1245,7 @@ class VectorSimulation:
         self.host_levels = host_levels
         self.recorder = recorder
         self.metrics = metrics
-        self.kernel = kernel
+        self.kernel = resolve_kernel(kernel)
         self.oversub = oversub
 
     def run(self, workload: list[VMRequest]) -> SimulationResult:

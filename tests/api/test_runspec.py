@@ -57,6 +57,10 @@ class TestValidation:
             (dict(engine="object", shards=2), "object engine"),
             (dict(shards=2, fail_fast=True), "fail_fast"),
             (dict(shards=2, oversub="percentile"), "oversubscription"),
+            (dict(host_mem_gb=float("nan")), "host_mem_gb"),
+            (dict(host_mem_gb=float("inf")), "host_mem_gb"),
+            (dict(oversub_update_every=float("nan")), "update_every"),
+            (dict(oversub_update_every=float("inf")), "update_every"),
         ],
     )
     def test_bad_knobs_fail_at_construction(self, kwargs, match):
@@ -68,7 +72,7 @@ class TestSerialization:
     def test_round_trips_through_dict(self):
         spec = RunSpec(
             provider="ovhcloud", mix=(40, 30, 30), target_population=80,
-            seed=9, num_hosts=8, policy="best_fit", kernel="pruned",
+            seed=9, num_hosts=8, policy="best_fit", kernel="naive",
             shards=2, workers=2,
         )
         data = spec.to_dict()
@@ -81,8 +85,15 @@ class TestSerialization:
     def test_fingerprint_keys_every_field(self):
         base = RunSpec()
         assert base.fingerprint() != base.replace(seed=1).fingerprint()
-        assert base.fingerprint() != base.replace(kernel="pruned").fingerprint()
+        assert base.fingerprint() != base.replace(kernel="naive").fingerprint()
         assert base.fingerprint() == RunSpec().fingerprint()
+
+    def test_retired_pruned_kernel_aliases_incremental(self):
+        spec = RunSpec(target_population=60, num_hosts=6, kernel="pruned")
+        incremental = spec.replace(kernel="incremental")
+        assert spec.kernel == "incremental"
+        assert spec.fingerprint() == incremental.fingerprint()
+        assert result_stream(run(spec)) == result_stream(run(incremental))
 
     def test_from_dict_refuses_unknown_fields_and_versions(self):
         with pytest.raises(ConfigError, match="unknown RunSpec fields"):

@@ -13,7 +13,7 @@ from repro.bench.engine import SCHEMA, BenchError
 
 @pytest.fixture(scope="module")
 def payload():
-    # Tiny grid: enough to exercise generation, all three kernels, the
+    # Tiny grid: enough to exercise generation, both kernels, the
     # per-cell verification and the payload shape.
     spec = EngineBenchSpec(
         hosts=(12,), policies=("progress", "first_fit"), vms_per_host=2.0,
@@ -29,26 +29,27 @@ def test_payload_shape(payload):
         assert cell["verified"]
         assert cell["num_events"] > 0
         assert cell["tier"] == "standard"
-        assert set(cell["kernels"]) == {"incremental", "naive", "pruned"}
+        assert set(cell["kernels"]) == {"incremental", "naive"}
         for arm in cell["kernels"].values():
             assert arm["wall_s"] > 0
             assert arm["events_per_s"] > 0
             assert arm["select_mean_us"] >= 0
             assert arm["select_ops_per_s"] >= 0
             assert arm["peak_rss_mb"] > 0
-        assert set(cell["speedups"]) == {"incremental", "pruned"}
+        assert set(cell["speedups"]) == {"incremental"}
         for kernel, ratio in cell["speedups"].items():
             assert ratio == pytest.approx(
                 cell["kernels"]["naive"]["wall_s"]
                 / cell["kernels"][kernel]["wall_s"]
             )
-        # Legacy schema-1 column: the incremental-vs-naive ratio.
-        assert cell["speedup"] == cell["speedups"]["incremental"]
+        # The schema-1 ``speedup`` column is retired: ``speedups`` only.
+        assert "speedup" not in cell
         assert cell["shards"] == 1
     head = payload["headline"]
     assert head["policy"] in ("progress", "first_fit")
     assert head["num_hosts"] == 12
-    assert set(head["speedups"]) == {"incremental", "pruned"}
+    assert set(head["speedups"]) == {"incremental"}
+    assert "speedup" not in head
     assert payload["environment"]["cpus"] >= 1
 
 
@@ -92,6 +93,7 @@ def test_shard_tier_cells():
     assert payload["headline"]["num_hosts"] == 8
     head = payload["shard_headline"]
     assert head["num_hosts"] == 16 and head["shards"] == 2
+    assert "speedup" not in cell and "speedup" not in head
     assert payload["grid"]["shard_hosts"] == [16]
     assert payload["grid"]["shard_counts"] == [2]
 
@@ -136,7 +138,6 @@ def _fake(cells):
             {
                 "num_hosts": n,
                 "policy": p,
-                "speedup": s["incremental"],
                 "speedups": dict(s),
             }
             for n, p, s in cells
@@ -145,45 +146,53 @@ def _fake(cells):
 
 
 def test_compare_passes_within_tolerance():
-    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 4.0})])
-    current = _fake([(500, "progress", {"incremental": 1.6, "pruned": 2.1})])
+    baseline = _fake([(500, "progress", {"incremental": 3.0})])
+    current = _fake([(500, "progress", {"incremental": 1.6})])
     assert compare_engine_bench(current, baseline, tolerance=0.5) == []
 
 
 def test_compare_flags_regression_per_kernel():
-    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 4.0})])
-    current = _fake([(500, "progress", {"incremental": 2.9, "pruned": 1.4})])
+    baseline = _fake([(500, "progress", {"sharded": 3.0, "critical_path": 4.0})])
+    current = _fake([(500, "progress", {"sharded": 2.9, "critical_path": 1.4})])
     problems = compare_engine_bench(current, baseline, tolerance=0.5)
     assert len(problems) == 1
-    assert "kernel=pruned" in problems[0]
+    assert "kernel=critical_path" in problems[0]
     assert "progress" in problems[0]
 
 
+def test_compare_skips_kernels_the_current_run_does_not_report():
+    # Committed baselines still carry the retired ``pruned`` arm; a
+    # fresh run reports only ``incremental`` and is judged on that.
+    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 4.0})])
+    current = _fake([(500, "progress", {"incremental": 2.9})])
+    assert compare_engine_bench(current, baseline, tolerance=0.5) == []
+
+
 def test_compare_marks_known_crossover_cells():
-    baseline = _fake([(500, "first_fit", {"incremental": 0.95, "pruned": 1.2})])
-    current = _fake([(500, "first_fit", {"incremental": 0.40, "pruned": 1.2})])
+    baseline = _fake([(500, "first_fit", {"incremental": 0.95})])
+    current = _fake([(500, "first_fit", {"incremental": 0.40})])
     problems = compare_engine_bench(current, baseline, tolerance=0.5)
     assert len(problems) == 1
     assert "known crossover cell" in problems[0]
 
 
 def test_compare_ignores_cells_missing_from_baseline():
-    ok = {"incremental": 3.0, "pruned": 3.0}
+    ok = {"incremental": 3.0}
     baseline = _fake([(500, "progress", ok)])
-    current = _fake([(500, "progress", ok), (9999, "best_fit", {"incremental": 0.1, "pruned": 0.1})])
+    current = _fake([(500, "progress", ok), (9999, "best_fit", {"incremental": 0.1})])
     assert compare_engine_bench(current, baseline) == []
 
 
 def test_compare_requires_at_least_one_matching_cell():
-    baseline = _fake([(500, "progress", {"incremental": 3.0, "pruned": 3.0})])
-    current = _fake([(123, "worst_fit", {"incremental": 5.0, "pruned": 5.0})])
+    baseline = _fake([(500, "progress", {"incremental": 3.0})])
+    current = _fake([(123, "worst_fit", {"incremental": 5.0})])
     problems = compare_engine_bench(current, baseline)
     assert len(problems) == 1
     assert "no benchmark cell matches" in problems[0]
 
 
 def test_compare_rejects_schema_mismatch_and_bad_tolerance():
-    good = _fake([(500, "progress", {"incremental": 3.0, "pruned": 3.0})])
+    good = _fake([(500, "progress", {"incremental": 3.0})])
     with pytest.raises(BenchError):
         compare_engine_bench({"schema": 999, "cells": []}, good)
     with pytest.raises(BenchError):
@@ -197,16 +206,15 @@ def test_compare_keys_cells_by_shard_count():
     def cell(shards, speedups):
         return {
             "num_hosts": 500, "policy": "progress", "shards": shards,
-            "speedup": speedups.get("incremental", 1.0),
             "speedups": dict(speedups),
         }
 
     baseline = {"schema": SCHEMA, "cells": [
-        cell(1, {"incremental": 3.0, "pruned": 3.0}),
+        cell(1, {"incremental": 3.0}),
         cell(4, {"sharded": 0.8, "critical_path": 3.0}),
     ]}
     current = {"schema": SCHEMA, "cells": [
-        cell(1, {"incremental": 3.0, "pruned": 3.0}),
+        cell(1, {"incremental": 3.0}),
         cell(4, {"sharded": 0.8, "critical_path": 1.0}),
     ]}
     problems = compare_engine_bench(current, baseline, tolerance=0.5)
@@ -216,8 +224,8 @@ def test_compare_keys_cells_by_shard_count():
 
 def test_crossover_report_lists_sub_1x_cells_only():
     payload = _fake([
-        (500, "first_fit", {"incremental": 0.97, "pruned": 1.3}),
-        (5000, "progress", {"incremental": 3.0, "pruned": 5.0}),
+        (500, "first_fit", {"incremental": 0.97}),
+        (5000, "progress", {"incremental": 3.0}),
     ])
     lines = crossover_report(payload)
     assert len(lines) == 1

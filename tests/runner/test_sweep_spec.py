@@ -96,6 +96,15 @@ def test_spec_validation():
         SweepSpec(mixes=("A", "a"))  # duplicate label after normalization
     with pytest.raises(RunnerError):
         SweepSpec(machine_cpus=0)
+    with pytest.raises(RunnerError, match="unknown kernel"):
+        SweepSpec(kernel="nope")
+
+
+def test_retired_pruned_kernel_aliases_incremental():
+    spec = SweepSpec(kernel="pruned")
+    assert spec.kernel == "incremental"
+    assert spec.fingerprint() == SweepSpec(kernel="incremental").fingerprint()
+    assert SweepSpec.from_dict({**spec.to_dict(), "kernel": "pruned"}) == spec
 
 
 def test_seeds_from_arg():

@@ -3,7 +3,8 @@
 The sharded dispatcher's load-bearing contract: with one shard it must
 be indistinguishable — byte for byte — from the unsharded engine.  The
 instrumented corpus (``tests/fixtures/golden/``) locks the recorded
-decision stream for every policy and kernel; the scale corpus
+decision stream for every policy and kernel name (the retired
+``"pruned"`` alias included); the scale corpus
 (``tests/fixtures/golden/scale/``, slow tier) locks the uninstrumented
 fast path's canonical result stream through the same delegation.
 """
@@ -27,6 +28,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN_DIR = FIXTURES / "golden"
 SCALE_DIR = GOLDEN_DIR / "scale"
 
+#: Every accepted kernel name: the kernels plus the retired ``"pruned"``
+#: alias of ``"incremental"``.
+KERNEL_NAMES = (*KERNELS, "pruned")
+
 
 @pytest.fixture(scope="module")
 def workload():
@@ -41,7 +46,7 @@ def machines():
     ]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 @pytest.mark.parametrize("policy", POLICIES)
 def test_one_shard_replays_golden_corpus_byte_identically(
     machines, workload, policy, kernel
@@ -58,7 +63,7 @@ def test_one_shard_replays_golden_corpus_byte_identically(
     assert sink.getvalue() == golden
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_one_shard_matches_unsharded_result_stream(machines, workload, kernel):
     # Uninstrumented fast path: the dispatcher's shards=1 delegation
     # must return the VectorSimulation result verbatim.
@@ -72,7 +77,7 @@ def test_one_shard_matches_unsharded_result_stream(machines, workload, kernel):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
 def test_one_shard_replays_scale_stream_byte_identically(kernel):
     manifest = json.loads((SCALE_DIR / "manifest.json").read_text(encoding="utf-8"))
     machines = [

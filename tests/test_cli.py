@@ -194,6 +194,21 @@ def test_shard_command_checkpoint_resume(tmp_path, capsys):
     assert counts(first) == counts(resumed)
 
 
+def test_shard_command_accepts_retired_pruned_kernel(capsys):
+    args = ["shard", "--population", "40", "--seed", "3", "--hosts", "6",
+            "--shards", "2", "--workers", "1"]
+    assert main(args + ["--kernel", "pruned"]) == 0
+    pruned = capsys.readouterr().out
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert "kernel incremental" in pruned
+
+    def counts(out):
+        line = next(ln for ln in out.splitlines() if ln.startswith("sharded"))
+        return line.split("ev/s), ")[1]
+    assert counts(pruned) == counts(default)
+
+
 def test_shard_resume_requires_checkpoint():
     with pytest.raises(SystemExit, match="--resume requires --checkpoint"):
         main(["shard", "--resume", "--hosts", "4", "--population", "10"])
