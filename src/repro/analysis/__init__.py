@@ -2,7 +2,6 @@
 
 from repro.analysis.experiments import (
     DistributionOutcome,
-    evaluate_distribution,
     fig3_series,
     fig4_grid,
 )
@@ -28,7 +27,6 @@ from repro.analysis.reporting import (
 
 __all__ = [
     "DistributionOutcome",
-    "evaluate_distribution",
     "fig3_series",
     "fig4_grid",
     "LimitingFactor",

@@ -36,7 +36,6 @@ from repro.workload.generator import WorkloadParams, generate_workload
 
 __all__ = [
     "DistributionOutcome",
-    "evaluate_distribution",
     "fig3_series",
     "fig4_grid",
 ]
@@ -150,44 +149,6 @@ def _evaluate_catalog(
         baseline_unallocated=combine_unallocated(baseline_results),
         slackvm_unallocated=unallocated_at_peak(sized_shared.result),
         pooled_placements=sized_shared.result.pooled_placements,
-    )
-
-
-def evaluate_distribution(
-    catalog: Catalog,
-    mix: LevelMix | str,
-    machine: MachineSpec = SIM_WORKER,
-    target_population: int = 500,
-    seed: int = 0,
-    policy: str = "progress",
-    pooling: bool = True,
-    baseline_policy: str = "first_fit",
-    workload: Sequence[VMRequest] | None = None,
-) -> DistributionOutcome:
-    """Deprecated driver — parse a :class:`repro.api.RunSpec` instead.
-
-    Kept working for one release; delegates to the internal
-    :func:`_evaluate_catalog` (identical results).  New code should
-    build a spec and call :func:`repro.api.evaluate`.
-    """
-    import warnings
-
-    warnings.warn(
-        "evaluate_distribution() is deprecated; build a repro.api.RunSpec "
-        "and call repro.api.evaluate(spec) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _evaluate_catalog(
-        catalog,
-        mix,
-        machine=machine,
-        target_population=target_population,
-        seed=seed,
-        policy=policy,
-        pooling=pooling,
-        baseline_policy=baseline_policy,
-        workload=workload,
     )
 
 

@@ -2,28 +2,25 @@
 
 Every front end (CLI handlers, the sweep runner's cells, the engine
 bench harness) used to hand-thread its own subset of a dozen
-positional knobs into :class:`VectorSimulation`, ``evaluate_distribution``
-and friends.  :class:`RunSpec` is the single description they all parse
+positional knobs into :class:`VectorSimulation` and the experiment
+drivers.  :class:`RunSpec` is the single description they all parse
 into now: cluster topology, workload recipe, scheduling policy, kernel,
 oversubscription strategy, shard geometry and seed, with validation at
 construction so a bad knob fails before any work starts.
 
 The spec is *declarative* — building workloads, machines and engines
-from it lives in :mod:`repro.api.run`.  ``to_dict``/``from_dict``
-round-trip through JSON primitives and :meth:`fingerprint` hashes the
-canonical form, the same discipline as
-:class:`repro.runner.spec.SweepSpec`.
+from it lives in :mod:`repro.api.run`.  ``to_dict``/``from_dict``,
+:meth:`fingerprint` and ``replace`` come from
+:class:`repro.core.spec.FrozenSpec`, the contract every spec shares.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
-from hashlib import sha256
-from json import dumps
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.errors import ConfigError
+from repro.core.spec import FrozenSpec, check_number
 from repro.oversub.estimators import STRATEGIES
 from repro.sharding.router import ROUTERS
 from repro.simulator.vectorpool import POLICIES, resolve_kernel
@@ -40,7 +37,7 @@ SPEC_VERSION = 1
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(FrozenSpec):
     """One simulated run, fully described.
 
     ``num_hosts=0`` means *auto-size*: build the smallest demand-derived
@@ -53,6 +50,8 @@ class RunSpec:
     :class:`repro.sharding.ShardedSimulation` (``workers=0`` → one
     process per shard).
     """
+
+    SPEC_VERSION = SPEC_VERSION
 
     # -- workload ------------------------------------------------------------
     provider: str = "azure"
@@ -105,10 +104,8 @@ class RunSpec:
             raise ConfigError("target_population must be positive")
         if self.num_hosts < 0:
             raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
-        # Chained comparisons, so NaN (every comparison False) and inf
-        # fail here instead of deep inside the engine.
-        if not (0 < self.host_cpus < math.inf and 0 < self.host_mem_gb < math.inf):
-            raise ConfigError("host_cpus and host_mem_gb must be positive and finite")
+        check_number(self.host_cpus, "host_cpus")
+        check_number(self.host_mem_gb, "host_mem_gb")
         if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown policy {self.policy!r}; expected one of {POLICIES}"
@@ -123,8 +120,7 @@ class RunSpec:
                 f"unknown oversub strategy {self.oversub!r}; "
                 f"expected one of {sorted(STRATEGIES)}"
             )
-        if not 0 < self.oversub_update_every < math.inf:
-            raise ConfigError("oversub_update_every must be positive and finite")
+        check_number(self.oversub_update_every, "oversub_update_every")
         if self.shards < 1:
             raise ConfigError(f"need at least one shard, got {self.shards}")
         if self.router not in ROUTERS:
@@ -159,38 +155,3 @@ class RunSpec:
         if isinstance(self.mix, str):
             return self.mix
         return ",".join(f"{s:g}" for s in self.mix)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {"version": SPEC_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ConfigError(
-                f"RunSpec version {version} is not supported "
-                f"(this build speaks {SPEC_VERSION})"
-            )
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names - {"version"})
-        if unknown:
-            raise ConfigError(f"unknown RunSpec fields: {unknown}")
-        kwargs = {k: v for k, v in data.items() if k in names}
-        return cls(**kwargs)
-
-    def fingerprint(self) -> str:
-        canon = dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    def replace(self, **changes) -> "RunSpec":
-        """A copy with ``changes`` applied (re-validated)."""
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **changes)
-

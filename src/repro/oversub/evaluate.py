@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from repro.core.errors import ConfigError
+from repro.core.spec import check_number
 from repro.core.types import VMRequest
 from repro.hardware.machine import SIM_WORKER, MachineSpec
 from repro.oversub.controller import OversubParams
@@ -93,6 +94,7 @@ class OversubSweepSpec:
         object.__setattr__(self, "kernel", resolve_kernel(self.kernel))
         if self.target_population <= 0:
             raise ConfigError("target_population must be positive")
+        check_number(self.update_every, "update_every")
 
     @classmethod
     def from_run_spec(

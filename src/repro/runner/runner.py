@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from repro.core.errors import RunnerError
 from repro.obs import names as metric_names
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.runner.checkpoint import SweepCheckpoint
+from repro.runner.checkpoint import JsonlCheckpoint
 from repro.runner.results import STATUS_FAILED, STATUS_OK, CellResult, outcome_to_dict
 from repro.runner.spec import SweepCell, SweepSpec
 
@@ -65,6 +65,20 @@ def _cell_payload(spec: SweepSpec, cell: SweepCell) -> dict:
             "workers": 1,
         },
     }
+
+
+def _decode_cell(record: dict) -> tuple[str, CellResult]:
+    """A checkpoint ``cell`` record as ``(cell key, result)``."""
+    result = CellResult.from_record(record)
+    return result.key, result
+
+
+def _sweep_checkpoint(path: str) -> JsonlCheckpoint[str, CellResult]:
+    """A sweep's checkpoint: one ``cell`` record per finished cell."""
+    return JsonlCheckpoint(
+        path, kind="cell", decode=_decode_cell, error=RunnerError,
+        label="sweep", source="sweep spec",
+    )
 
 
 def _run_cell(payload: dict) -> dict:
@@ -170,11 +184,13 @@ def run_sweep(
     cells = spec.cells()
     total = len(cells)
 
-    checkpoint: Optional[SweepCheckpoint] = None
+    checkpoint: Optional[JsonlCheckpoint[str, CellResult]] = None
     done: dict[str, CellResult] = {}
     if out is not None:
-        checkpoint = SweepCheckpoint(out)
-        done = checkpoint.start(spec, resume=resume)
+        checkpoint = _sweep_checkpoint(out)
+        done = checkpoint.start(
+            spec.fingerprint(), {"spec": spec.to_dict()}, resume=resume
+        )
     # Only successful prior results satisfy a cell; failures re-run.
     satisfied = {k: r for k, r in done.items() if r.ok}
     pending = [c for c in cells if c.key not in satisfied]
@@ -194,7 +210,7 @@ def run_sweep(
         if checkpoint is not None:
             # elapsed_s is operator telemetry; resume/replay keys on the
             # cell fingerprint and never reads it (tests/runner pin this).
-            checkpoint.append(result)  # reprolint: disable=R013
+            checkpoint.append(result.to_record())  # reprolint: disable=R013
         if metrics.enabled:
             metrics.counter(metric_names.RUNNER_CELLS_DONE).inc()
             if not result.ok:

@@ -1,8 +1,9 @@
 """Sweep specification: the experiment grid and its seed derivation.
 
 A :class:`SweepSpec` names a provider × mix × seed grid with the knobs
-``evaluate_distribution`` exposes.  Everything in the spec is a plain
-JSON value, which buys three properties at once:
+of :func:`repro.api.evaluate`.  Everything in the spec is a plain JSON
+value (serialised through :class:`repro.core.spec.FrozenSpec`), which
+buys three properties at once:
 
 * cells can be shipped to worker processes without pickling library
   objects (catalogs are resolved by name inside the worker);
@@ -19,14 +20,13 @@ guarantees statistically independent streams per seed slot.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import ConfigError, RunnerError
+from repro.core.spec import FrozenSpec, check_number
 from repro.hardware.machine import SIM_WORKER
 from repro.simulator.vectorpool import resolve_kernel
 from repro.workload.distributions import DISTRIBUTIONS, LevelMix
@@ -104,7 +104,7 @@ class SweepCell:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(FrozenSpec):
     """A provider × mix × seed experiment grid.
 
     ``providers`` are registry names resolved against
@@ -117,6 +117,10 @@ class SweepSpec:
     ``num_seeds`` derivation; the latter is the recommended mode for
     many-seed sweeps.
     """
+
+    SPEC_VERSION = SPEC_VERSION
+    ACCEPTED_VERSIONS = (1,)
+    SPEC_ERROR = RunnerError
 
     providers: tuple[str, ...] = ("ovhcloud",)
     mixes: tuple[str, ...] = tuple(DISTRIBUTIONS)
@@ -137,6 +141,10 @@ class SweepSpec:
     )
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "providers", tuple(self.providers))
+        object.__setattr__(self, "mixes", tuple(self.mixes))
+        if self.seeds is not None:
+            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not self.providers:
             raise RunnerError("a sweep needs at least one provider")
         if not self.mixes:
@@ -147,8 +155,8 @@ class SweepSpec:
             raise RunnerError("explicit seeds tuple cannot be empty")
         if self.target_population <= 0:
             raise RunnerError("target_population must be positive")
-        if self.machine_cpus <= 0 or self.machine_mem_gb <= 0:
-            raise RunnerError("machine_cpus and machine_mem_gb must be positive")
+        check_number(self.machine_cpus, "machine_cpus", error=RunnerError)
+        check_number(self.machine_mem_gb, "machine_mem_gb", error=RunnerError)
         if self.shards < 1:
             raise RunnerError(f"shards must be >= 1, got {self.shards}")
         try:
@@ -166,7 +174,7 @@ class SweepSpec:
     def effective_seeds(self) -> tuple[int, ...]:
         """The per-slot seeds: explicit, or SeedSequence-derived."""
         if self.seeds is not None:
-            return tuple(int(s) for s in self.seeds)
+            return self.seeds
         return derive_seeds(self.root_seed, self.num_seeds)
 
     def cells(self) -> list[SweepCell]:
@@ -199,57 +207,6 @@ class SweepSpec:
 
     def __iter__(self) -> Iterator[SweepCell]:
         return iter(self.cells())
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SPEC_VERSION,
-            "providers": list(self.providers),
-            "mixes": list(self.mixes),
-            "seeds": None if self.seeds is None else [int(s) for s in self.seeds],
-            "root_seed": self.root_seed,
-            "num_seeds": self.num_seeds,
-            "target_population": self.target_population,
-            "policy": self.policy,
-            "baseline_policy": self.baseline_policy,
-            "pooling": self.pooling,
-            "machine_cpus": self.machine_cpus,
-            "machine_mem_gb": self.machine_mem_gb,
-            "kernel": self.kernel,
-            "shards": self.shards,
-            "router": self.router,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepSpec":
-        version = data.get("version", SPEC_VERSION)
-        if version not in (1, SPEC_VERSION):
-            raise RunnerError(
-                f"unsupported sweep spec version {version} (expected {SPEC_VERSION})"
-            )
-        seeds = data.get("seeds")
-        return cls(
-            providers=tuple(data["providers"]),
-            mixes=tuple(data["mixes"]),
-            seeds=None if seeds is None else tuple(int(s) for s in seeds),
-            root_seed=int(data.get("root_seed", 0)),
-            num_seeds=int(data.get("num_seeds", 1)),
-            target_population=int(data["target_population"]),
-            policy=data.get("policy", "progress"),
-            baseline_policy=data.get("baseline_policy", "first_fit"),
-            pooling=bool(data.get("pooling", True)),
-            machine_cpus=int(data["machine_cpus"]),
-            machine_mem_gb=float(data["machine_mem_gb"]),
-            kernel=data.get("kernel", "incremental"),
-            shards=int(data.get("shards", 1)),
-            router=data.get("router", "hash"),
-        )
-
-    def fingerprint(self) -> str:
-        """Content hash used to detect spec drift on resume."""
-        canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
 def seeds_from_arg(text: str | Sequence[int]) -> tuple[int, ...]:

@@ -4,8 +4,9 @@ The AsyncFlow/FastSim idiom: one *self-consistent contract* links the
 canonical distribution names (:data:`DIST_KINDS`), the random-variable
 schema (:class:`RVConfig`) and the traffic-generator payload
 (:class:`TrafficConfig`).  Every config is a frozen dataclass that
-validates at construction and round-trips exactly through
-``to_dict``/``from_dict``, so a typo'd kind or a negative rate raises
+validates at construction and round-trips exactly through the shared
+:class:`~repro.core.spec.FrozenSpec` ``to_dict``/``from_dict``, so a
+typo'd kind or a negative rate raises
 :class:`~repro.core.errors.ConfigError` before the service starts —
 never mid-run.
 
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from repro.core.errors import ConfigError
+from repro.core.spec import FrozenSpec, check_number
 
 __all__ = ["DIST_KINDS", "RVConfig", "DiurnalConfig", "TrafficConfig", "DAY"]
 
@@ -36,27 +38,8 @@ DIST_KINDS = ("constant", "exponential", "lognormal", "poisson")
 DAY = 86_400.0
 
 
-def _require_number(value: object, name: str) -> float:
-    """Coerce ``value`` to float, rejecting bools, strings and NaN/inf."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {out!r}")
-    return out
-
-
-def _check_fields(data: Mapping[str, object], allowed: tuple[str, ...],
-                  what: str) -> None:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{what} payload must be a mapping, got {data!r}")
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {unknown}")
-
-
 @dataclass(frozen=True)
-class RVConfig:
+class RVConfig(FrozenSpec):
     """One non-negative random variable, named by distribution kind.
 
     ``mean`` is the arithmetic mean of the sampled values for every
@@ -78,14 +61,9 @@ class RVConfig:
                 f"unknown distribution kind {self.kind!r}; "
                 f"expected one of {DIST_KINDS}"
             )
-        mean = _require_number(self.mean, "mean")
-        if mean <= 0:
-            raise ConfigError(f"mean must be positive, got {mean!r}")
-        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "mean", check_number(self.mean, "mean"))
         if self.sigma is not None:
-            sigma = _require_number(self.sigma, "sigma")
-            if sigma <= 0:
-                raise ConfigError(f"sigma must be positive, got {sigma!r}")
+            sigma = check_number(self.sigma, "sigma")
             if self.kind != "lognormal":
                 raise ConfigError(
                     f"sigma only applies to lognormal, not {self.kind!r}"
@@ -105,26 +83,9 @@ class RVConfig:
         mu = math.log(self.mean) - 0.5 * sigma * sigma
         return float(rng.lognormal(mu, sigma))
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "mean": self.mean}
-        if self.sigma is not None:
-            out["sigma"] = self.sigma
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "RVConfig":
-        _check_fields(data, ("kind", "mean", "sigma"), "RVConfig")
-        if "kind" not in data or "mean" not in data:
-            raise ConfigError("RVConfig needs both 'kind' and 'mean'")
-        kind = data["kind"]
-        if not isinstance(kind, str):
-            raise ConfigError(f"kind must be a string, got {kind!r}")
-        return cls(kind=kind, mean=data["mean"],  # type: ignore[arg-type]
-                   sigma=data.get("sigma"))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
-class DiurnalConfig:
+class DiurnalConfig(FrozenSpec):
     """Sinusoidal arrival-rate modulation (Coach-style diurnal load).
 
     The instantaneous rate multiplier at virtual time ``t`` is
@@ -137,33 +98,19 @@ class DiurnalConfig:
     period: float = DAY
 
     def __post_init__(self) -> None:
-        amplitude = _require_number(self.amplitude, "amplitude")
+        amplitude = check_number(self.amplitude, "amplitude", positive=False)
         if not 0.0 <= amplitude < 1.0:
             raise ConfigError(f"amplitude must be in [0, 1), got {amplitude!r}")
         object.__setattr__(self, "amplitude", amplitude)
-        period = _require_number(self.period, "period")
-        if period <= 0:
-            raise ConfigError(f"period must be positive, got {period!r}")
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "period", check_number(self.period, "period"))
 
     def factor(self, t: float) -> float:
         """The rate multiplier at virtual time ``t`` (always > 0)."""
         return 1.0 + self.amplitude * math.sin(2.0 * math.pi * t / self.period)
 
-    def to_dict(self) -> dict:
-        return {"amplitude": self.amplitude, "period": self.period}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "DiurnalConfig":
-        _check_fields(data, ("amplitude", "period"), "DiurnalConfig")
-        if "amplitude" not in data:
-            raise ConfigError("DiurnalConfig needs 'amplitude'")
-        return cls(amplitude=data["amplitude"],  # type: ignore[arg-type]
-                   period=data.get("period", DAY))  # type: ignore[arg-type]
-
 
 @dataclass(frozen=True)
-class TrafficConfig:
+class TrafficConfig(FrozenSpec):
     """The traffic-generator payload: inter-arrivals plus lifetimes.
 
     ``interarrival`` samples the gap to the next request (seconds);
@@ -189,9 +136,7 @@ class TrafficConfig:
     def open_loop(cls, rate: float, mean_lifetime: float,
                   diurnal_amplitude: float = 0.0) -> "TrafficConfig":
         """Poisson-process traffic at ``rate`` requests/second."""
-        rate = _require_number(rate, "rate")
-        if rate <= 0:
-            raise ConfigError(f"rate must be positive, got {rate!r}")
+        rate = check_number(rate, "rate")
         diurnal = (
             DiurnalConfig(diurnal_amplitude) if diurnal_amplitude else None
         )
@@ -208,29 +153,15 @@ class TrafficConfig:
             gap /= self.diurnal.factor(now)
         return gap
 
-    def to_dict(self) -> dict:
-        out: dict = {
-            "interarrival": self.interarrival.to_dict(),
-            "lifetime": self.lifetime.to_dict(),
-        }
-        if self.diurnal is not None:
-            out["diurnal"] = self.diurnal.to_dict()
-        return out
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "TrafficConfig":
-        _check_fields(data, ("interarrival", "lifetime", "diurnal"),
-                      "TrafficConfig")
-        if "interarrival" not in data or "lifetime" not in data:
-            raise ConfigError(
-                "TrafficConfig needs both 'interarrival' and 'lifetime'"
-            )
-        diurnal = data.get("diurnal")
-        return cls(
-            interarrival=RVConfig.from_dict(data["interarrival"]),  # type: ignore[arg-type]
-            lifetime=RVConfig.from_dict(data["lifetime"]),  # type: ignore[arg-type]
-            diurnal=(
-                DiurnalConfig.from_dict(diurnal)  # type: ignore[arg-type]
-                if diurnal is not None else None
-            ),
-        )
+    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficConfig":
+        """Decode the nested configs, then apply the shared contract."""
+        if isinstance(data, Mapping):
+            nested = {"interarrival": RVConfig, "lifetime": RVConfig,
+                      "diurnal": DiurnalConfig}
+            data = {
+                key: (nested[key].from_dict(value)
+                      if key in nested and value is not None else value)
+                for key, value in data.items()
+            }
+        return super().from_dict(data)

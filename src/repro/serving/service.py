@@ -30,9 +30,8 @@ import asyncio
 import itertools
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from hashlib import sha256
-from json import dumps
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -42,6 +41,7 @@ from repro.api.spec import RunSpec
 from repro.controlplane.controller import CloudController, VMState, VMTicket
 from repro.core.config import SlackVMConfig
 from repro.core.errors import CapacityError, ConfigError
+from repro.core.spec import FrozenSpec, check_number
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
@@ -74,7 +74,7 @@ _STOP = None
 
 
 @dataclass(frozen=True)
-class ServiceSpec:
+class ServiceSpec(FrozenSpec):
     """One service run, fully described (the serving twin of RunSpec).
 
     ``rate`` is the mean arrival rate in requests per *virtual* second
@@ -86,6 +86,8 @@ class ServiceSpec:
     fleet into that many independent :class:`CloudController` shards
     behind a seeded consistent-hash router.
     """
+
+    SPEC_VERSION = SERVICE_SPEC_VERSION
 
     # -- traffic -------------------------------------------------------------
     provider: str = "azure"
@@ -132,13 +134,7 @@ class ServiceSpec:
             )
         for name in ("rate", "duration", "mean_lifetime", "timeout_s",
                      "service_mean"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(float(value)) or float(value) <= 0:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_number(getattr(self, name), name))
         for kind_field in ("interarrival_kind", "lifetime_kind", "service_kind"):
             kind = getattr(self, kind_field)
             if kind not in DIST_KINDS:
@@ -152,8 +148,8 @@ class ServiceSpec:
             )
         if self.num_hosts < 0:
             raise ConfigError("num_hosts must be >= 0 (0 = auto-size)")
-        if self.host_cpus <= 0 or self.host_mem_gb <= 0:
-            raise ConfigError("host_cpus and host_mem_gb must be positive")
+        check_number(self.host_cpus, "host_cpus")
+        check_number(self.host_mem_gb, "host_mem_gb")
         if self.shards < 1:
             raise ConfigError(f"need at least one shard, got {self.shards}")
         if self.num_hosts and self.shards > self.num_hosts:
@@ -188,40 +184,6 @@ class ServiceSpec:
     def service_time(self) -> RVConfig:
         """Per-decision scheduler service time (virtual seconds)."""
         return RVConfig(self.service_kind, self.service_mean)
-
-    # -- serialization (same discipline as RunSpec) --------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {"version": SERVICE_SPEC_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServiceSpec":
-        version = data.get("version", SERVICE_SPEC_VERSION)
-        if version != SERVICE_SPEC_VERSION:
-            raise ConfigError(
-                f"ServiceSpec version {version} is not supported "
-                f"(this build speaks {SERVICE_SPEC_VERSION})"
-            )
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names - {"version"})
-        if unknown:
-            raise ConfigError(f"unknown ServiceSpec fields: {unknown}")
-        kwargs = {k: v for k, v in data.items() if k in names}
-        return cls(**kwargs)
-
-    def fingerprint(self) -> str:
-        canon = dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    def replace(self, **changes: Any) -> "ServiceSpec":
-        """A copy with ``changes`` applied (re-validated)."""
-        from dataclasses import replace as dc_replace
-
-        return dc_replace(self, **changes)
 
 
 def _mean_footprint(catalog: Catalog, mix: Union[str, LevelMix]) -> Tuple[float, float]:

@@ -28,7 +28,6 @@ byte-identity contract against the golden decision corpus.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -36,12 +35,14 @@ from typing import Optional, Sequence
 
 from repro.core.config import SlackVMConfig
 from repro.core.errors import ConfigError, ShardingError
+from repro.core.spec import canonical_json, fingerprint_of
 from repro.core.types import VMRequest
 from repro.hardware.machine import MachineSpec
 from repro.obs import names as metric_names
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.records import NULL_RECORDER, DecisionRecorder
 from repro.oversub.controller import OversubParams
+from repro.runner.checkpoint import JsonlCheckpoint
 from repro.runner.spec import derive_seeds
 from repro.sharding.merge import merge_shard_results
 from repro.sharding.router import ROUTERS, make_router
@@ -62,8 +63,7 @@ def workload_digest(workload: Sequence[VMRequest]) -> str:
     """
     digest = hashlib.sha256()
     for vm in sorted(workload, key=lambda v: (v.arrival, v.vm_id)):
-        row = json.dumps(vm_to_dict(vm), sort_keys=True, separators=(",", ":"))
-        digest.update(row.encode("utf-8"))
+        digest.update(canonical_json(vm_to_dict(vm)).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:16]
 
@@ -152,9 +152,7 @@ class ShardPlan:
         Keys the shard checkpoint header: a checkpoint resumed against
         a different plan *or* a different trace must be refused.
         """
-        body = {"plan": self.to_dict(), "workload": workload}
-        canon = json.dumps(body, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return fingerprint_of({"plan": self.to_dict(), "workload": workload})
 
 
 def _config_payload(config: SlackVMConfig) -> dict:
@@ -179,6 +177,19 @@ def _config_from_payload(payload: dict) -> SlackVMConfig:
         negative_progress_factor=payload["negative_progress_factor"],
         topology_aware=payload["topology_aware"],
         prefer_physical_cores=payload["prefer_physical_cores"],
+    )
+
+
+def _decode_shard(record: dict) -> tuple[int, dict]:
+    """A checkpoint ``shard`` record as ``(shard index, record)``."""
+    return int(record["shard"]), record
+
+
+def _shard_checkpoint(path: str) -> JsonlCheckpoint[int, dict]:
+    """A sharded run's checkpoint: one ``shard`` record per finished shard."""
+    return JsonlCheckpoint(
+        path, kind="shard", decode=_decode_shard, error=ShardingError,
+        label="shard", source="plan or workload",
     )
 
 
@@ -256,7 +267,7 @@ class ShardedSimulation:
     ``workers`` bounds the process pool; ``0`` means one worker per
     shard, ``1`` runs every shard inline (no pool — the debugging and
     property-test path).  ``checkpoint`` names a JSONL file written
-    through :class:`repro.sharding.checkpoint.ShardCheckpoint`;
+    through :class:`repro.runner.checkpoint.JsonlCheckpoint`;
     ``resume=True`` skips shards that file already holds.
     """
 
@@ -435,14 +446,15 @@ class ShardedSimulation:
         self, payloads: list[dict], workload: list[VMRequest]
     ) -> list[dict]:
         """Run shard payloads, via pool or inline, returning by index."""
-        from repro.sharding.checkpoint import ShardCheckpoint
-
         results: dict[int, dict] = {}
-        ckpt: Optional[ShardCheckpoint] = None
+        ckpt: Optional[JsonlCheckpoint[int, dict]] = None
         if self.checkpoint is not None:
-            ckpt = ShardCheckpoint(self.checkpoint)
+            ckpt = _shard_checkpoint(self.checkpoint)
             fingerprint = self.plan.fingerprint(workload_digest(workload))
-            results = ckpt.start(self.plan, fingerprint, resume=self.resume)
+            done = ckpt.start(
+                fingerprint, {"plan": self.plan.to_dict()}, resume=self.resume
+            )
+            results = {s: r for s, r in done.items() if r.get("ok")}
 
         pending = [p for p in payloads if p["shard"] not in results]
         try:
@@ -467,7 +479,7 @@ class ShardedSimulation:
         self,
         record: dict,
         results: dict[int, dict],
-        ckpt: Optional["ShardCheckpoint"],  # noqa: F821 — deferred import
+        ckpt: Optional[JsonlCheckpoint[int, dict]],
     ) -> None:
         if not record.get("ok"):
             error = record.get("error", {})

@@ -1,6 +1,4 @@
-"""RunSpec: validation, round-trip, builders, run(), deprecation shims."""
-
-import warnings
+"""RunSpec: validation, round-trip, builders, run()."""
 
 import pytest
 
@@ -61,6 +59,9 @@ class TestValidation:
             (dict(host_mem_gb=float("inf")), "host_mem_gb"),
             (dict(oversub_update_every=float("nan")), "update_every"),
             (dict(oversub_update_every=float("inf")), "update_every"),
+            (dict(host_cpus=float("nan")), "host_cpus"),
+            (dict(host_cpus=True), "host_cpus"),
+            (dict(host_mem_gb="128"), "host_mem_gb"),
         ],
     )
     def test_bad_knobs_fail_at_construction(self, kwargs, match):
@@ -180,20 +181,3 @@ class TestRun:
         wl = build_workload(spec)[:10]
         result = run(spec, workload=wl)
         assert len(result.placements) + len(result.rejections) == 10
-
-
-class TestDeprecationShims:
-    def test_evaluate_distribution_warns_and_matches_the_new_api(self):
-        from repro.analysis import evaluate_distribution
-        from repro.api import evaluate
-        from repro.workload.catalog import OVHCLOUD
-
-        with pytest.warns(DeprecationWarning, match="repro.api.RunSpec"):
-            old = evaluate_distribution(
-                OVHCLOUD, "F", target_population=60, seed=42
-            )
-        spec = RunSpec(provider="ovhcloud", mix="F", target_population=60, seed=42)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            new = evaluate(spec)
-        assert new == old

@@ -95,6 +95,10 @@ def test_table_renders_all_cells(sweep):
         dict(policy="wishful"),
         dict(kernel="quantum"),
         dict(target_population=0),
+        dict(update_every=float("nan")),
+        dict(update_every=0.0),
+        dict(update_every=-60.0),
+        dict(update_every=float("inf")),
     ],
 )
 def test_spec_validation(kwargs):

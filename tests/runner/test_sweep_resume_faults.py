@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.errors import RunnerError
-from repro.runner import SweepCheckpoint, SweepSpec, run_sweep
-from repro.runner.runner import _cell_payload, _run_cell
+from repro.runner import SweepSpec, run_sweep
+from repro.runner.runner import _cell_payload, _run_cell, _sweep_checkpoint
 
 SPEC = SweepSpec(
     providers=("ovhcloud",),
@@ -58,6 +58,23 @@ def test_resume_tolerates_torn_last_line(tmp_path):
     assert resumed.results == full.results
 
 
+def test_resume_after_torn_line_leaves_a_whole_checkpoint(tmp_path):
+    # The record a resume appends must not be glued onto the torn
+    # fragment: a second resume has to find every cell.
+    out = tmp_path / "sweep.jsonl"
+    full = run_sweep(SPEC, workers=1, out=str(out))
+    text = out.read_text(encoding="utf-8")
+    cut = text.index("\n", text.index("\n") + 1) + 40  # mid second record
+    out.write_text(text[:cut], encoding="utf-8")
+    resumed = run_sweep(SPEC, workers=1, out=str(out), resume=True)
+    assert len(resumed.executed) == 3
+    again = run_sweep(SPEC, workers=1, out=str(out), resume=True)
+    assert again.executed == ()
+    assert again.results == full.results
+    assert all(line.startswith("{") and line.endswith("}")
+               for line in out.read_text(encoding="utf-8").splitlines())
+
+
 def test_resume_refuses_foreign_checkpoint(tmp_path):
     out = tmp_path / "sweep.jsonl"
     run_sweep(SPEC, workers=1, out=str(out))
@@ -99,7 +116,7 @@ def test_failed_cell_is_recorded_and_siblings_complete(tmp_path):
         result.raise_on_failure()
 
     # The failure is checkpointed like any other record...
-    loaded = SweepCheckpoint(out).load(spec)
+    loaded = _sweep_checkpoint(str(out)).load(spec.fingerprint())
     assert loaded["nosuch/F/5"].status == "failed"
     # ...and a resume retries exactly the failed cell.
     resumed = run_sweep(spec, workers=1, out=str(out), resume=True)

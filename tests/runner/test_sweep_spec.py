@@ -96,6 +96,12 @@ def test_spec_validation():
         SweepSpec(mixes=("A", "a"))  # duplicate label after normalization
     with pytest.raises(RunnerError):
         SweepSpec(machine_cpus=0)
+    with pytest.raises(RunnerError, match="machine_cpus"):
+        SweepSpec(machine_cpus=float("nan"))
+    with pytest.raises(RunnerError, match="machine_mem_gb"):
+        SweepSpec(machine_mem_gb=float("nan"))
+    with pytest.raises(RunnerError, match="machine_mem_gb"):
+        SweepSpec(machine_mem_gb=float("inf"))
     with pytest.raises(RunnerError, match="unknown kernel"):
         SweepSpec(kernel="nope")
 

@@ -44,6 +44,10 @@ def test_spec_round_trip_and_fingerprint():
     {"interarrival_kind": "weibull"},
     {"mean_lifetime": float("inf")},
     {"max_pending": -1},
+    {"host_cpus": float("nan")},
+    {"host_mem_gb": float("nan")},
+    {"host_mem_gb": float("inf")},
+    {"host_cpus": 0},
 ])
 def test_invalid_specs_raise(kw):
     with pytest.raises(ConfigError):

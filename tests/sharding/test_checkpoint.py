@@ -7,7 +7,8 @@ import pytest
 from repro.core import OversubscriptionLevel, VMRequest, VMSpec
 from repro.core.errors import ShardingError
 from repro.hardware import MachineSpec
-from repro.sharding import ShardCheckpoint, ShardedSimulation
+from repro.sharding import ShardedSimulation
+from repro.sharding.dispatcher import _shard_checkpoint
 from repro.simulator import result_stream
 
 
@@ -82,6 +83,30 @@ def test_resume_tolerates_torn_last_line(tmp_path):
     assert result_stream(resumed) == result_stream(full)
 
 
+def test_resume_after_torn_line_leaves_a_whole_checkpoint(tmp_path):
+    # The shard a resume appends must start on its own line, so the
+    # file holds every shard and a second resume runs nothing.
+    out = tmp_path / "shards.jsonl"
+    machines, wl = _machines(6), _workload(30)
+    full = ShardedSimulation(
+        machines, shards=3, workers=1, checkpoint=str(out)
+    ).run(wl)
+    text = out.read_text(encoding="utf-8")
+    cut = text.index("\n", text.index("\n") + 1) + 40  # mid second record
+    out.write_text(text[:cut], encoding="utf-8")
+    ShardedSimulation(
+        machines, shards=3, workers=1, checkpoint=str(out), resume=True
+    ).run(wl)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert sorted(json.loads(line)["shard"] for line in lines[1:]) == [0, 1, 2]
+    before = out.read_bytes()
+    again = ShardedSimulation(
+        machines, shards=3, workers=1, checkpoint=str(out), resume=True
+    ).run(wl)
+    assert out.read_bytes() == before
+    assert result_stream(again) == result_stream(full)
+
+
 def test_resume_refuses_foreign_plan(tmp_path):
     out = tmp_path / "shards.jsonl"
     machines, wl = _machines(6), _workload(30)
@@ -108,7 +133,7 @@ def test_load_rejects_non_checkpoint_files(tmp_path):
     path = tmp_path / "junk.jsonl"
     path.write_text('{"kind": "cell"}\n', encoding="utf-8")
     with pytest.raises(ShardingError, match="no header"):
-        ShardCheckpoint(path).load()
-    missing = ShardCheckpoint(tmp_path / "nope.jsonl")
+        _shard_checkpoint(str(path)).load()
+    missing = _shard_checkpoint(str(tmp_path / "nope.jsonl"))
     with pytest.raises(ShardingError, match="no shard checkpoint"):
         missing.load()
